@@ -155,15 +155,8 @@ def hpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_slabs
     for labs in by_point.values():
         for l in labs[1:]:
             uf.union(pos[labs[0]], pos[l])
-    # Canonical global label: min core point id per merged component.
-    comp_min: dict[int, int] = {}
-    for pid, labs in by_point.items():
-        r_ = uf.find(pos[labs[0]])
-        if r_ not in comp_min or pid < comp_min[r_]:
-            comp_min[r_] = pid
-    lmap = pd.DataFrame(
-        {"label": order, "gcluster": [comp_min[uf.find(i)] for i in range(len(order))]}
-    )
+    # Global label: the merged component's union-find root.
+    lmap = pd.DataFrame({"label": order, "gcluster": uf.labels()})
     lmap_df = spark.createDataFrame(lmap, schema="label long, gcluster long")
     assigned = (
         local.join(lmap_df, "label")

@@ -192,14 +192,9 @@ def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> Dat
             border_links.append((r["a"], r["b"]))
         else:
             uf.union(pos[r["a"]], pos[r["b"]])
-    comp_min: dict[int, int] = {}
-    for v, i in pos.items():
-        r_ = uf.find(i)
-        if r_ not in comp_min or v < comp_min[r_]:
-            comp_min[r_] = v
-    labels: dict[int, set[int]] = {v: {comp_min[uf.find(i)]} for v, i in pos.items()}
+    labels: dict[int, set[int]] = {v: {uf.find(i)} for v, i in pos.items()}
     for nc, c in border_links:
-        labels.setdefault(nc, set()).add(comp_min[uf.find(pos[c])])
+        labels.setdefault(nc, set()).add(uf.find(pos[c]))
 
     rows = [(int(v), sorted(s)) for v, s in labels.items()]
     lbl_df = spark.createDataFrame(

@@ -5,11 +5,11 @@ of its own cell and of each neighboring cell; for each such cell with a core
 point within eps, p joins that cell's cluster.  Border points can belong to
 several clusters (§2), so the result is a per-point set of cluster labels.
 
-Implementation mirrors MarkCore's bucketed fan-out: queries keyed by target
-cell are cogrouped (per cell-hash bucket) with that cell's core points —
-which all share one cluster label, cells being the cell-graph vertices — and
-a vectorised any-within-eps test emits (point, cluster) pairs, deduplicated
-by a shuffle ``collect_set``.
+Implementation reuses MarkCore's bucketed scan (``mark_core.neighbor_scan``):
+queries keyed by target cell meet that cell's core points — which all share
+one cluster label, cells being the cell-graph vertices — and every query
+with any core point within eps emits (point, cluster), deduplicated by a
+shuffle ``collect_set``.
 """
 from __future__ import annotations
 
@@ -19,46 +19,14 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.grid import xcols
-from repro.core.mark_core import _bucket
+from repro.core.mark_core import neighbor_scan
 
 
-def _border_kernel(d: int, eps: float):
-    xc = xcols(d)
-    rxc = [f"r{c}" for c in xc]
-    empty = pd.DataFrame(
-        {"pid": pd.Series(dtype="int64"), "cluster": pd.Series(dtype="int64")}
-    )
-
-    def fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-        if len(left) == 0 or len(right) == 0:
-            return empty
-        eps2 = eps * eps
-        p_all = right[rxc].to_numpy(dtype=np.float64)
-        cl_all = right["cluster"].to_numpy()
-        q_all = left[xc].to_numpy(dtype=np.float64)
-        id_all = left["id"].to_numpy()
-        out_p, out_c = [], []
-        rgroups = right.groupby("rcell", sort=False).indices
-        for tcell, lidx in left.groupby("tcell", sort=False).indices.items():
-            ridx = rgroups.get(tcell)
-            if ridx is None:
-                continue
-            q = q_all[lidx]
-            p = p_all[ridx]
-            hit = np.zeros(len(q), dtype=bool)
-            block = max(1, (1 << 22) // max(len(p), 1))
-            for i in range(0, len(q), block):
-                d2 = ((q[i : i + block, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-                hit[i : i + block] = (d2 <= eps2).any(axis=1)
-            pid = id_all[lidx][hit]
-            if len(pid):
-                out_p.append(pid)
-                out_c.append(np.full(len(pid), int(cl_all[ridx[0]]), dtype=np.int64))
-        if not out_p:
-            return empty
-        return pd.DataFrame({"pid": np.concatenate(out_p), "cluster": np.concatenate(out_c)})
-
-    return fn
+def _emit_hits(ids, cnt, right, first):
+    """Each query with a core point of the target cell within eps joins that
+    cell's cluster."""
+    hit = ids[cnt > 0]
+    return hit, np.full(len(hit), right["cluster"].iloc[first], dtype=np.int64)
 
 
 def cluster_border(
@@ -98,7 +66,6 @@ def cluster_border(
         queries = own_targets.unionByName(nbr_targets)
     else:
         queries = own_targets
-    queries = queries.withColumn("bucket", _bucket(F.col("tcell")))
 
     # Rename the right side's columns: both cogroup branches derive from the
     # same cached points DataFrame and need distinct attributes.
@@ -106,12 +73,8 @@ def cluster_border(
         F.col("cell").alias("rcell"),
         "cluster",
         *[F.col(c).alias(f"r{c}") for c in xc],
-    ).withColumn("bucket", _bucket(F.col("rcell")))
-    pairs = (
-        queries.groupBy("bucket")
-        .cogroup(right.groupBy("bucket"))
-        .applyInPandas(_border_kernel(d, eps), "pid long, cluster long")
     )
+    pairs = neighbor_scan(queries, right, d, eps, ("pid", "cluster"), _emit_hits)
     return pairs.groupBy("pid").agg(
         F.array_sort(F.collect_set("cluster")).alias("clusters")
     ).withColumnRenamed("pid", "id")

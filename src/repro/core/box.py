@@ -8,9 +8,9 @@ s±1, s±2 and comparing bounding boxes (only those strips can hold cells
 within eps).
 
 The paper parallelises the strip scan with pointer jumping (reproduced
-faithfully in ``repro.primitives.pointer_jumping`` and validated against the
-scan in tests); the production path here uses the equivalent numpy scan on
-the driver — box construction is a tiny fraction of the runtime and the scan
+faithfully in ``strip_starts_pointer_jumping`` and held equal to the scan in
+tests); the production path here uses the equivalent numpy scan on the
+driver — box construction is a tiny fraction of the runtime and the scan
 output is identical by the paper's own argument (§4.2).
 """
 from __future__ import annotations
@@ -45,8 +45,8 @@ def strip_parent_links(sorted_vals: np.ndarray, width: float) -> np.ndarray:
     """Pointer-jumping input (Figure 2b): parent[i] = index of the first
     element whose value exceeds sorted_vals[i] + width (roots point to self).
 
-    Feeding this to ``pointer_jump_roots`` marks exactly the strip starts of
-    ``strip_starts_scan``; see tests.
+    Following these links from element 0 (``strip_starts_pointer_jumping``)
+    visits exactly the strip starts of ``strip_starts_scan``; see tests.
     """
     n = len(sorted_vals)
     parent = np.searchsorted(sorted_vals, sorted_vals + width, side="right")

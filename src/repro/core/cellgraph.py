@@ -145,7 +145,8 @@ def build_cell_graph(
     bucketing: bool = False,
     bucket_size: int = 4096,
 ) -> tuple[dict[str, int], dict[str, object]]:
-    """Cluster core cells: returns (cell -> component label, stats).
+    """Cluster core cells: returns (cell -> component label, stats); a
+    component's label is its union-find root.
 
     Parameters
     ----------
@@ -219,14 +220,8 @@ def build_cell_graph(
                 uf.union(idx[g], idx[h])
         stats["n_evaluated"] = n_evaluated
 
-    # Canonical component labels: min cell index per component.
-    comp_min: dict[int, int] = {}
-    for c, i in idx.items():
-        r = uf.find(i)
-        if r not in comp_min or i < comp_min[r]:
-            comp_min[r] = i
-    labels = {c: comp_min[uf.find(i)] for c, i in idx.items()}
-    stats["n_clusters"] = len(comp_min)
+    labels = {c: uf.find(i) for c, i in idx.items()}
+    stats["n_clusters"] = uf.n_components
     return labels, stats
 
 

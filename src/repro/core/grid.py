@@ -4,8 +4,8 @@ Points are placed in disjoint d-dimensional cells of side eps/√d, so that any
 two points in the same cell are within eps of each other.  The paper
 semisorts (cell-id, point-id) pairs and stores non-empty cells in a parallel
 hash table; here the cell id is computed with pure Catalyst expressions
-(``floor(x_j / side)``) and the semisort is Spark's shuffle ``groupBy``
-(see ``repro.primitives.semisort``).  The non-empty-cell table — O(#cells),
+(``floor(x_j / side)``) and the semisort is the shuffle ``groupBy`` in
+``cell_table``.  The non-empty-cell table — O(#cells),
 orders of magnitude smaller than the input — is collected to the driver,
 which plays the role of the paper's cell hash table.
 

@@ -33,16 +33,16 @@ def canonical_labels(pdf: pd.DataFrame) -> list[frozenset[int]]:
     exactly one internal label.
     """
     ids = pdf["id"].to_numpy()
-    comp_min: dict[int, int] = {}
+    min_id: dict[int, int] = {}
     for pid, is_core, cls in zip(ids, pdf["is_core"], pdf["clusters"]):
         if is_core:
             assert len(cls) == 1, f"core point {pid} has {len(cls)} labels"
             c = cls[0]
-            if c not in comp_min or pid < comp_min[c]:
-                comp_min[c] = int(pid)
+            if c not in min_id or pid < min_id[c]:
+                min_id[c] = int(pid)
     out = []
     for pid, cls in zip(ids, pdf["clusters"]):
-        out.append(frozenset(comp_min[c] for c in cls))
+        out.append(frozenset(min_id[c] for c in cls))
     return out
 
 

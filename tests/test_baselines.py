@@ -10,7 +10,6 @@ import pytest
 
 from repro import synth_data as sd
 from repro.baselines.hpdbscan_like import hpdbscan
-from repro.baselines.naive_parallel import naive_dbscan
 from repro.baselines.pdsdbscan_like import pdsdbscan
 from repro.baselines.rpdbscan_like import rpdbscan
 from repro.baselines.seq_gridbscan import dbscan_seq
@@ -100,26 +99,10 @@ def test_rpdbscan_varden(spark):
     assert_same_clustering(res, pts, 260.0, 6)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_naive_matches_reference(spark, d):
-    pts = sd.seed_spreader(250, d, seed=80 + d)
-    eps, min_pts = 280.0 * np.sqrt(d), 8
-    res = naive_dbscan(spark, sd.points_df(spark, pts), eps, min_pts, d)
-    assert_same_clustering(res, pts, eps, min_pts)
-
-
-def test_naive_border_multimembership(spark):
-    left = np.stack([np.linspace(-4.0, 0.0, 40), np.zeros(40)], axis=1)
-    right = np.stack([np.linspace(10.0, 14.0, 40), np.zeros(40)], axis=1)
-    pts = np.vstack([left, right, [[5.0, 0.0]]])
-    res = naive_dbscan(spark, sd.points_df(spark, pts), 5.0, 40, 2)
-    assert_same_clustering(res, pts, 5.0, 40)
-
-
 def test_all_baselines_agree_on_skewed(spark):
     df = sd.geolife_like(spark, n=400, seed=2)
     pts = df.toPandas().sort_values("id")[["x0", "x1", "x2"]].to_numpy()
     eps, min_pts = 500.0, 10
-    for fn in (pdsdbscan, hpdbscan, rpdbscan, naive_dbscan):
+    for fn in (pdsdbscan, hpdbscan, rpdbscan):
         res = fn(spark, df, eps, min_pts, 3)
         assert_same_clustering(res, pts, eps, min_pts)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro import synth_data as sd
-from repro.core.dbscan import dbscan_variant
+from repro.core.dbscan import dbscan, dbscan_variant
 from repro.core.validate import assert_same_clustering
 
 VARIANTS_2D = [
@@ -42,3 +42,24 @@ def test_box_variant_rejects_3d(spark):
     pts = sd.seed_spreader(50, 3, seed=34)
     with pytest.raises(ValueError):
         dbscan_variant(spark, sd.points_df(spark, pts), 300.0, 5, 3, "our-2d-box-bcp")
+
+
+@pytest.mark.parametrize(
+    "d, kw",
+    [
+        (2, dict(graph_method="bfs")),
+        (3, dict(graph_method="usec")),
+        (3, dict(graph_method="delaunay")),
+    ],
+    ids=["unknown-graph-method", "usec-3d", "delaunay-3d"],
+)
+def test_bad_arguments_rejected_before_any_job(spark, d, kw):
+    df = sd.points_df(spark, sd.seed_spreader(50, d, seed=35))
+    sc = spark.sparkContext
+    sc.setJobGroup("rejected-arguments", "dbscan() argument check")
+    try:
+        with pytest.raises(ValueError):
+            dbscan(spark, df, 300.0, 5, d, **kw)
+        assert sc.statusTracker().getJobIdsForGroup("rejected-arguments") == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)

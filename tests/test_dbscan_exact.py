@@ -158,3 +158,34 @@ def test_deterministic_across_runs(spark):
     b = result_to_pandas(dbscan(spark, df, 250.0, 8, 2))
     assert canonical_labels(a) == canonical_labels(b)
     assert a["is_core"].tolist() == b["is_core"].tolist()
+
+
+def _persisted(spark) -> set[int]:
+    return {int(k) for k in spark.sparkContext._jsc.getPersistentRDDs().keySet()}
+
+
+def test_only_result_stays_cached(spark):
+    """Each call caches its intermediate frames and releases all but the
+    returned result, on the grid and on the box path."""
+    pts = sd.seed_spreader(120, 2, seed=29)
+    df = sd.points_df(spark, pts)
+    for cell_method in ("grid", "box"):
+        before = _persisted(spark)
+        res = dbscan(spark, df, 250.0, 8, 2, cell_method=cell_method)
+        assert len(_persisted(spark) - before) == 1, cell_method
+        assert_same_clustering(res, pts, 250.0, 8)
+        res.unpersist()
+
+
+def test_failed_call_releases_its_caches(spark, monkeypatch):
+    import repro.core.dbscan as dbscan_module
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("cell graph failed")
+
+    monkeypatch.setattr(dbscan_module, "build_cell_graph", fail)
+    df = sd.points_df(spark, sd.seed_spreader(120, 2, seed=30))
+    before = _persisted(spark)
+    with pytest.raises(RuntimeError, match="cell graph failed"):
+        dbscan(spark, df, 250.0, 8, 2)
+    assert _persisted(spark) - before == set()
